@@ -1,6 +1,6 @@
 # Tier-1 verification, as run by CI (.github/workflows/ci.yml).
 
-.PHONY: verify build vet test lint lint-sarif tidy-check bench bench-shards bench-smoke determinism-check trace-smoke chaos-smoke compare-selfcheck serve-smoke conformance ablate-smoke
+.PHONY: verify build vet test lint lint-sarif tidy-check bench bench-smoke determinism-check trace-smoke chaos-smoke compare-selfcheck serve-smoke conformance ablate-smoke
 
 verify: build vet test lint tidy-check conformance ablate-smoke
 
@@ -49,14 +49,6 @@ tidy-check:
 bench:
 	go run ./cmd/walltime -rounds 5 -baseline BENCH_walltime_baseline.json -o BENCH_walltime.json
 
-# bench-shards writes the shard-scaling artifact CI uploads: the full
-# suite including the shards/ring16-s{1,2,4} series, on whatever host CI
-# gives us. Speedup needs GOMAXPROCS >= shards; on narrower hosts the
-# series measures epoch-machinery overhead instead (EXPERIMENTS.md,
-# walltime/v2). Not a gate — wall-clock scaling is machine-dependent.
-bench-shards:
-	go run ./cmd/walltime -rounds 3 -shards 4 -o walltime_shards.json
-
 # bench-smoke is the CI bit-rot check (one tiny round, artifact discarded)
 # plus the tracing-off overhead gate: with no log attached the hot paths pay
 # one nil-check branch, and the gated benchmarks must stay within 2% of the
@@ -73,23 +65,15 @@ bench-smoke:
 # performance work on the kernel must never move a virtual-time result.
 # The second pass re-sweeps with an event log attached to every cell:
 # tracing is observational, so traced results must be identical too.
-# The sharded passes pin the parallel engine's core claim (DESIGN.md §10):
-# results are bit-identical at any shard count, including one chosen by
-# the host's core count. The ring sweep is the all-nodes-busy workload
-# where shard windows genuinely overlap.
+# The ring pass regenerates the largest committed workload (16 nodes, all
+# busy) the same way.
 determinism-check:
 	go run ./cmd/sweep -exp fig10 -seeds 16 -o /tmp/BENCH_fig10_regen.json
 	go run ./cmd/sweep -compare BENCH_fig10.json /tmp/BENCH_fig10_regen.json -tol 0
 	go run ./cmd/sweep -exp fig10 -seeds 16 -trace -o /tmp/BENCH_fig10_traced.json
 	go run ./cmd/sweep -compare BENCH_fig10.json /tmp/BENCH_fig10_traced.json -tol 0
-	go run ./cmd/sweep -exp fig10 -seeds 16 -shards 2 -o /tmp/BENCH_fig10_s2.json
-	go run ./cmd/sweep -compare BENCH_fig10.json /tmp/BENCH_fig10_s2.json -tol 0
-	go run ./cmd/sweep -exp fig10 -seeds 16 -shards $$(nproc) -o /tmp/BENCH_fig10_snproc.json
-	go run ./cmd/sweep -compare BENCH_fig10.json /tmp/BENCH_fig10_snproc.json -tol 0
-	go run ./cmd/sweep -exp ring -seeds 16 -shards 2 -o /tmp/BENCH_ring_s2.json
-	go run ./cmd/sweep -compare BENCH_ring.json /tmp/BENCH_ring_s2.json -tol 0
-	go run ./cmd/sweep -exp ring -seeds 16 -shards $$(nproc) -o /tmp/BENCH_ring_snproc.json
-	go run ./cmd/sweep -compare BENCH_ring.json /tmp/BENCH_ring_snproc.json -tol 0
+	go run ./cmd/sweep -exp ring -seeds 16 -o /tmp/BENCH_ring_regen.json
+	go run ./cmd/sweep -compare BENCH_ring.json /tmp/BENCH_ring_regen.json -tol 0
 
 # compare-selfcheck runs the regression gate's core soundness property
 # over every committed sweep artifact: a result compared against itself at
@@ -111,8 +95,8 @@ trace-smoke:
 	go run ./cmd/spsim -exp fig10 -trace /tmp/trace_clean.json
 	grep -q '"schema":"tracelog/v1"' /tmp/trace_clean.json
 	go run ./cmd/tracediff /tmp/trace_clean.json /tmp/trace_clean.json
-	go run ./cmd/spsim -exp fig10 -trace /tmp/trace_drop1.json -tracedrop 0.02 -traceseed 1
-	go run ./cmd/spsim -exp fig10 -trace /tmp/trace_drop2.json -tracedrop 0.02 -traceseed 2
+	go run ./cmd/spsim -exp fig10 -trace /tmp/trace_drop1.json -faults uniform:drop=0.02 -traceseed 1
+	go run ./cmd/spsim -exp fig10 -trace /tmp/trace_drop2.json -faults uniform:drop=0.02 -traceseed 2
 	go run ./cmd/tracediff /tmp/trace_drop1.json /tmp/trace_drop2.json; test $$? -eq 1
 
 # serve-smoke exercises the spsimd service end to end over real HTTP: a

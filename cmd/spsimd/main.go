@@ -8,7 +8,7 @@
 // Usage:
 //
 //	spsimd -addr :8750 -cache .spsimd-cache            # serve HTTP
-//	spsimd -jobs 2 -budget 8                           # 2 concurrent campaigns, 8 workers each
+//	spsimd -jobs 2 -par 4                              # 2 concurrent campaigns, 4 workers each
 //	spsimd -mcp                                        # Model Context Protocol over stdio
 //	spsimd -selfsmoke -baseline BENCH_fig10.json       # self-contained smoke test
 //
@@ -48,7 +48,6 @@ func run() int {
 		cacheDir  = flag.String("cache", ".spsimd-cache", "content-addressed result cache directory")
 		jobs      = flag.Int("jobs", 1, "concurrent campaigns (queue worker pool size)")
 		par       = flag.Int("par", 0, "per-campaign sweep worker pool (0 = GOMAXPROCS)")
-		budget    = flag.Int("budget", 0, "per-campaign worker budget shared between pool and shards (0 = default)")
 		mcpMode   = flag.Bool("mcp", false, "serve the Model Context Protocol over stdio instead of HTTP")
 		selfsmoke = flag.Bool("selfsmoke", false, "run the built-in smoke test against an in-process server and exit")
 		baseline  = flag.String("baseline", "", "selfsmoke: compare the served fig10 artifact against this committed result at tolerance 0")
@@ -57,7 +56,7 @@ func run() int {
 	flag.Parse()
 
 	git := cliconf.GitDescribe()
-	cfg := server.Config{Git: git, CacheDir: *cacheDir, Jobs: *jobs, Par: *par, WorkerBudget: *budget}
+	cfg := server.Config{Git: git, CacheDir: *cacheDir, Jobs: *jobs, Par: *par}
 
 	if *selfsmoke {
 		// The smoke test must start cold to prove the miss→hit

@@ -6,7 +6,7 @@
 //	sweep -exp fig10 -seeds 16 -par 8 -o BENCH_fig10.json
 //	sweep -exp all -seeds 8                  # every experiment, BENCH_<id>.json each
 //	sweep -exp fig12 -seeds 8 -faults burst-loss      # scripted fault plan
-//	sweep -exp fig12 -seeds 8 -drop 0.001    # deprecated alias for -faults uniform:drop=0.001
+//	sweep -exp fig12 -seeds 8 -faults uniform:drop=0.001
 //	sweep -exp fig12 -seeds 4 -seeds-max 32 -rel-ci 2 -faults burst-loss
 //	                                         # sequential stopping: batches of 4
 //	                                         # until the median CI is within 2%
@@ -54,8 +54,6 @@ func run() int {
 		seedsMax = flag.Int("seeds-max", 0, "sequential stopping: cap repetitions per cell, running batches of -seeds until -rel-ci converges")
 		relCI    = flag.Float64("rel-ci", 0, "sequential stopping target: relative median-CI half-width in percent")
 		par      = flag.Int("par", 0, "worker-pool size (0 = GOMAXPROCS)")
-		shards   = flag.Int("shards", 0, "engine shards per cell run (0/1 = serial; results are bit-identical at any shard count)")
-		budget   = flag.Int("budget", 0, "worker budget: outer pool is capped at budget/shards workers (0 = max(GOMAXPROCS, -par))")
 		baseSeed = flag.Int64("baseseed", 1, "base seed perturbing every derived seed")
 		out      = flag.String("o", "", "output file (default BENCH_<exp>.json)")
 		faultsFl = cliconf.Faults(flag.CommandLine)
@@ -138,7 +136,7 @@ func run() int {
 	}
 	if err := (cliconf.SweepParams{
 		Seeds: *seeds, SeedsMax: *seedsMax, RelCIPct: *relCI,
-		Par: *par, Shards: *shards, WorkerBudget: *budget,
+		Par: *par,
 	}).Validate(); err != nil {
 		eprint(err)
 		return 2
@@ -155,9 +153,7 @@ func run() int {
 		opts := sweep.Options{
 			Seeds: *seeds, SeedsMax: *seedsMax, RelCIPct: *relCI,
 			Par: *par, BaseSeed: *baseSeed,
-			Faults: faultsFl.Raw(), DropProb: faultsFl.Drop(), DupProb: faultsFl.Dup(),
-			GitDescribe: git, Trace: *traced,
-			Shards: *shards, WorkerBudget: *budget,
+			Faults: faultsFl.Spec(), GitDescribe: git, Trace: *traced,
 		}
 		res, err := sweep.RunCtx(ctx, e, opts)
 		if err != nil {

@@ -8,14 +8,6 @@
 //
 //	tracediff a.json b.json
 //	tracediff -ctx 10 a.json b.json
-//	tracediff -canon serial.json sharded.json
-//
-// -canon compares in canonical (T, Node) order with shard/epoch
-// annotations ignored — the equivalence a sharded run promises against
-// the serial engine, whose execution interleaves same-time events of
-// different nodes differently. On divergence the report names the shard
-// and epoch that recorded the first differing event, pointing at the
-// window where conservative parallel execution went wrong.
 //
 // Exit status: 0 when the streams are identical, 1 when they diverge
 // (with a context report), 2 on usage or read errors.
@@ -31,36 +23,11 @@ import (
 
 func main() { os.Exit(run()) }
 
-// stripped returns a copy with the shard/epoch annotations cleared, so a
-// canonical comparison tests simulation results only.
-func stripped(evs []tracelog.Event) []tracelog.Event {
-	out := append([]tracelog.Event(nil), evs...)
-	for i := range out {
-		out[i].Shard = 0
-		out[i].Epoch = 0
-	}
-	return out
-}
-
-// reportShard names the shard and epoch that recorded stream s's event at
-// the divergence index, when the stream carries annotations there.
-func reportShard(label string, evs []tracelog.Event, idx int) {
-	if idx >= len(evs) {
-		return
-	}
-	e := evs[idx]
-	if e.Shard != 0 || e.Epoch != 0 {
-		fmt.Printf("first divergent event in stream %s was recorded by shard %d in epoch %d\n",
-			label, e.Shard, e.Epoch)
-	}
-}
-
 func run() int {
 	ctx := flag.Int("ctx", 5, "events of context to print around the divergence")
-	canon := flag.Bool("canon", false, "compare in canonical (T, Node) order, ignoring shard/epoch annotations (serial vs sharded equivalence)")
 	flag.Parse()
 	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: tracediff [-ctx n] [-canon] a.json b.json")
+		fmt.Fprintln(os.Stderr, "usage: tracediff [-ctx n] a.json b.json")
 		return 2
 	}
 	a, err := tracelog.ReadChromeFile(flag.Arg(0))
@@ -73,25 +40,11 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "tracediff:", err)
 		return 2
 	}
-	cmpA, cmpB := a, b
-	if *canon {
-		// Order both streams canonically but keep the annotated copies for
-		// the divergence report: the annotations say *where* it broke.
-		tracelog.CanonicalOrder(a)
-		tracelog.CanonicalOrder(b)
-		cmpA, cmpB = stripped(a), stripped(b)
-	}
-	idx := tracelog.Diff(cmpA, cmpB)
+	idx := tracelog.Diff(a, b)
 	if idx < 0 {
-		if *canon {
-			fmt.Printf("identical: %d events (canonical order)\n", len(a))
-		} else {
-			fmt.Printf("identical: %d events\n", len(a))
-		}
+		fmt.Printf("identical: %d events\n", len(a))
 		return 0
 	}
 	tracelog.FormatDivergence(os.Stdout, a, b, idx, *ctx)
-	reportShard("A", a, idx)
-	reportShard("B", b, idx)
 	return 1
 }

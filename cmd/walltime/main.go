@@ -42,15 +42,14 @@ type Result struct {
 	NsPerOp     float64   `json:"ns_per_op"` // median of Rounds
 	PerSec      float64   `json:"per_sec"`   // 1e9 / NsPerOp
 	AllocsPerOp float64   `json:"allocs_per_op"`
-	// Shards is the engine shard count a shards/* benchmark ran on (0 for
-	// the serial benchmarks). New in walltime/v2.
-	Shards int `json:"shards,omitempty"`
 }
 
-// Artifact is the BENCH_walltime.json schema ("walltime/v2"; v1 lacked
-// the shard-scaling series and the per-result shards field). Host was
-// added in v1 and is optional: artifacts written before it exist compare
-// as a host mismatch, which demotes the overhead gate to report-only.
+// Artifact is the BENCH_walltime.json schema ("walltime/v2"). Artifacts
+// from before the sharded engine was removed also carry shards/* entries
+// with a per-result shards field; they load unchanged, and the gate only
+// looks up the benchmarks it names. Host was added in v1 and is optional:
+// artifacts written before it exist compare as a host mismatch, which
+// demotes the overhead gate to report-only.
 type Artifact struct {
 	Schema     string    `json:"schema"`
 	Git        string    `json:"git"`
@@ -87,35 +86,20 @@ func refHostLabel(h string) string {
 }
 
 type benchmark struct {
-	name   string
-	iters  int // per-round iterations at full scale
-	shards int // engine shards for the shards/* scaling series (0 = serial)
-	run    func(iters int)
+	name  string
+	iters int // per-round iterations at full scale
+	run   func(iters int)
 }
 
 // benchmarks mirrors the `go test -bench` suite (internal/sim/bench_test.go
 // and the top-level bench_test.go) so the committed artifact and the ad-hoc
-// bench runs measure the same workloads. The shards/* entries run the
-// largest committed sweep cell (ring, 16 nodes) on 1..maxShards engine
-// shards — the parallel engine's wall-clock scaling curve.
-func benchmarks(maxShards int) []benchmark {
-	bs := []benchmark{
-		{"kernel/events", 400000, 0, runEvents},
-		{"kernel/timer-stop", 400000, 0, runTimerStop},
-		{"kernel/sleep", 100000, 0, runSleep},
-		{"mpi/pingpong-1KiB", 24, 0, runPingPong},
-		{"sweep/fig10-cell-64KiB", 4, 0, runFig10Cell},
-	}
-	for s := 1; s <= maxShards; s *= 2 {
-		s := s
-		bs = append(bs, benchmark{
-			name:   fmt.Sprintf("shards/ring16-s%d", s),
-			iters:  4,
-			shards: s,
-			run:    func(iters int) { runRingCell(iters, s) },
-		})
-	}
-	return bs
+// bench runs measure the same workloads.
+var benchmarks = []benchmark{
+	{"kernel/events", 400000, runEvents},
+	{"kernel/timer-stop", 400000, runTimerStop},
+	{"kernel/sleep", 100000, runSleep},
+	{"mpi/pingpong-1KiB", 24, runPingPong},
+	{"sweep/fig10-cell-64KiB", 4, runFig10Cell},
 }
 
 // runEvents is the events/sec kernel microbenchmark: schedule and dispatch
@@ -185,27 +169,6 @@ func runFig10Cell(iters int) {
 	}
 }
 
-// runRingCell is the 16-node MPI-LAPI Enhanced cell of the ring sweep —
-// the largest committed workload — on the given engine shard count.
-// Virtual-time results are bit-identical at every shard count, so the
-// series isolates pure wall-clock scaling; real speedup requires
-// GOMAXPROCS >= shards, and on fewer cores the series measures the epoch
-// machinery's overhead instead (near zero by design).
-func runRingCell(iters, shards int) {
-	var cell bench.Cell
-	for _, c := range bench.RingExperiment().Cells {
-		if c.Series == "MPI-LAPI Enhanced" && c.X == 16 {
-			cell = c
-		}
-	}
-	if cell.Run == nil {
-		panic("walltime: ring cell MPI-LAPI Enhanced/16 not found")
-	}
-	for i := 0; i < iters; i++ {
-		cell.Run(bench.RunSpec{Seed: 1, Shards: shards})
-	}
-}
-
 // measure runs one round and returns (ns/op, allocs/op).
 func measure(b benchmark, iters int) (float64, float64) {
 	runtime.GC()
@@ -252,7 +215,6 @@ func main() {
 		gatePct    = flag.Float64("gate", 0, "fail (exit 1) when a gated benchmark is more than this percent slower than -gateref (best round vs best round: the minimum is the noise-robust statistic for a CPU-bound benchmark on a shared host)")
 		gateList   = flag.String("gatebench", "kernel/events,mpi/pingpong-1KiB", "comma-separated benchmark names the gate checks")
 		gateCanary = flag.String("gatecanary", "kernel/timer-stop", "benchmark used to normalize out uniform host-speed drift between the reference run and this one (\"\" disables)")
-		maxShards  = flag.Int("shards", 4, "largest engine shard count in the shards/* scaling series (doubling from 1)")
 	)
 	flag.Parse()
 
@@ -267,7 +229,7 @@ func main() {
 		Host:       hostFingerprint(),
 		Rounds:     *rounds,
 	}
-	for _, b := range benchmarks(*maxShards) {
+	for _, b := range benchmarks {
 		iters := b.iters
 		if *smoke {
 			iters = b.iters / 400
@@ -287,29 +249,11 @@ func main() {
 			Rounds:      ns,
 			NsPerOp:     median(ns),
 			AllocsPerOp: median(allocs),
-			Shards:      b.shards,
 		}
 		res.PerSec = 1e9 / res.NsPerOp
 		art.Benchmarks = append(art.Benchmarks, res)
 		fmt.Printf("%-26s %12.1f ns/op %14.0f /sec %12.1f allocs/op\n",
 			b.name, res.NsPerOp, res.PerSec, res.AllocsPerOp)
-	}
-
-	// The shard-scaling summary: best-round speedup of each shards/* entry
-	// over the serial (s1) run of the same cell.
-	var s1 float64
-	for _, r := range art.Benchmarks {
-		if r.Shards == 1 {
-			s1 = best(r)
-		}
-	}
-	if s1 > 0 {
-		fmt.Printf("\nshard scaling (ring16 cell, GOMAXPROCS=%d):\n", art.GOMAXPROCS)
-		for _, r := range art.Benchmarks {
-			if r.Shards > 0 {
-				fmt.Printf("  %-26s %6.2fx vs serial\n", r.Name, s1/best(r))
-			}
-		}
 	}
 
 	if *baseline != "" {
@@ -368,7 +312,7 @@ func main() {
 			curByName[r.Name] = r
 		}
 		benchByName := make(map[string]benchmark)
-		for _, b := range benchmarks(*maxShards) {
+		for _, b := range benchmarks {
 			benchByName[b.name] = b
 		}
 		// The committed reference was measured at some other time; a shared

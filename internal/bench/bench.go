@@ -252,8 +252,7 @@ func runBandwidth(c *cluster.Cluster, size, count int) float64 {
 // every rank streams count messages of size bytes to its right neighbour
 // while receiving from its left. Rank 0's elapsed time converts the
 // aggregate bytes moved into MB/s. Unlike the two-node streams above, the
-// traffic spans the whole job, so this is the workload the shard-scaling
-// walltime series measures the parallel engine with.
+// traffic spans the whole job.
 func runRing(c *cluster.Cluster, size, count int) float64 {
 	n := len(c.HALs)
 	var elapsed sim.Time

@@ -48,17 +48,14 @@ type Cell struct {
 	Run func(rc RunSpec) Measurement
 }
 
-// RunSpec parameterizes one cell run. The zero Mod/Trace/Shards are the
-// common case: unmodified cost model, untraced, serial engine.
+// RunSpec parameterizes one cell run. The zero Mod/Trace are the common
+// case: unmodified cost model, untraced.
 type RunSpec struct {
 	Seed int64
 	// Mod mutates the cost model after the cell's own overrides.
 	Mod ParamMod
 	// Trace, when non-nil, attaches an event log to the cell's cluster.
 	Trace *tracelog.Log
-	// Shards runs the cell's cluster on that many engine shards (0/1 =
-	// serial). Values are bit-identical at any shard count.
-	Shards int
 }
 
 // Direction declares which way is "better" for an experiment's metric, so
@@ -117,7 +114,7 @@ func mpiPingPongCell(series string, stack cluster.Stack, size int, interrupts bo
 		if rc.Mod != nil {
 			rc.Mod(&par)
 		}
-		c := cluster.New(cluster.Config{Nodes: 2, Stack: stack, Seed: rc.Seed, Params: &par, Interrupts: interrupts, Trace: rc.Trace, Shards: rc.Shards})
+		c := cluster.New(cluster.Config{Nodes: 2, Stack: stack, Seed: rc.Seed, Params: &par, Interrupts: interrupts, Trace: rc.Trace})
 		v := runPingPong(c, size, interrupts)
 		return Measurement{Value: v, VirtualTime: c.Now(), Trace: trace.Collect(c)}
 	}}
@@ -130,7 +127,7 @@ func rawLAPIPingPongCell(series string, size int) Cell {
 		if rc.Mod != nil {
 			rc.Mod(&par)
 		}
-		c := cluster.New(cluster.Config{Nodes: 2, Stack: cluster.RawLAPI, Seed: rc.Seed, Params: &par, Trace: rc.Trace, Shards: rc.Shards})
+		c := cluster.New(cluster.Config{Nodes: 2, Stack: cluster.RawLAPI, Seed: rc.Seed, Params: &par, Trace: rc.Trace})
 		v := runRawLAPIPingPong(c, size)
 		return Measurement{Value: v, VirtualTime: c.Now(), Trace: trace.Collect(c)}
 	}}
@@ -146,7 +143,7 @@ func bandwidthCell(series string, stack cluster.Stack, size, count int, override
 		if rc.Mod != nil {
 			rc.Mod(&par)
 		}
-		c := cluster.New(cluster.Config{Nodes: 2, Stack: stack, Seed: rc.Seed, Params: &par, Trace: rc.Trace, Shards: rc.Shards})
+		c := cluster.New(cluster.Config{Nodes: 2, Stack: stack, Seed: rc.Seed, Params: &par, Trace: rc.Trace})
 		v := runBandwidth(c, size, count)
 		return Measurement{Value: v, VirtualTime: c.Now(), Trace: trace.Collect(c)}
 	}}
@@ -160,7 +157,7 @@ func ringCell(series string, stack cluster.Stack, nodes, size, count int) Cell {
 		if rc.Mod != nil {
 			rc.Mod(&par)
 		}
-		c := cluster.New(cluster.Config{Nodes: nodes, Stack: stack, Seed: rc.Seed, Params: &par, Trace: rc.Trace, Shards: rc.Shards})
+		c := cluster.New(cluster.Config{Nodes: nodes, Stack: stack, Seed: rc.Seed, Params: &par, Trace: rc.Trace})
 		v := runRing(c, size, count)
 		return Measurement{Value: v, VirtualTime: c.Now(), Trace: trace.Collect(c)}
 	}}
@@ -168,8 +165,8 @@ func ringCell(series string, stack cluster.Stack, nodes, size, count int) Cell {
 
 // RingExperiment: aggregate ring-exchange throughput as the job grows
 // (64 KiB x 16 messages per rank, barrier-delimited). The 16-node cell is
-// the largest committed workload and the one the shard-scaling walltime
-// series runs at 1/2/4 engine shards.
+// the largest committed workload, matching the paper's largest SP
+// configuration.
 func RingExperiment() Experiment {
 	e := Experiment{
 		ID:        "ring",

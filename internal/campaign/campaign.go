@@ -5,12 +5,12 @@
 //
 // The digest is what makes the service's cache *exact* rather than
 // heuristic: every field that can move a result — experiment, seed plan,
-// fault plan, shard count, code version — is folded into a canonical JSON
-// payload and hashed, and everything that cannot (worker-pool size, worker
-// budget, progress callbacks) is deliberately excluded. Because the
-// simulator is deterministic per (request, code version), two requests
-// with equal digests are guaranteed to produce byte-identical artifacts,
-// so N identical queries cost one simulation and a cache hit is
+// fault plan, code version — is folded into a canonical JSON payload and
+// hashed, and everything that cannot (worker-pool size, progress
+// callbacks) is deliberately excluded. Because the simulator is
+// deterministic per (request, code version), two requests with equal
+// digests are guaranteed to produce byte-identical artifacts, so N
+// identical queries cost one simulation and a cache hit is
 // indistinguishable from a cold run.
 package campaign
 
@@ -65,11 +65,6 @@ type Request struct {
 	// computed over the *parsed* plan, so equivalent spellings share a
 	// cache entry.
 	Faults string `json:"faults,omitempty"`
-	// Shards is the engine shard count per cell run. Results are
-	// bit-identical at every shard count, but the field is part of the
-	// digest: the request describes the run, and a shards=4 run is not
-	// the run that was asked for under shards=1.
-	Shards int `json:"shards,omitempty"`
 
 	// Chaos-shaped knobs (chaos kind).
 	Plans      []string `json:"plans,omitempty"`
@@ -86,7 +81,7 @@ type Request struct {
 
 // keySchema tags the digest payload layout; bump it whenever the payload
 // shape changes so stale cache entries can never be addressed again.
-const keySchema = "spsimd-key/v1"
+const keySchema = "spsimd-key/v2"
 
 // keyPayload is the canonical digest input: the normalized request with
 // every fault-plan spec replaced by its parsed Plan (JSON round-trip
@@ -102,7 +97,6 @@ type keyPayload struct {
 	RelCIPct   float64       `json:"relCIPct,omitempty"`
 	BaseSeed   int64         `json:"baseSeed,omitempty"`
 	Plan       *faults.Plan  `json:"plan,omitempty"`
-	Shards     int           `json:"shards,omitempty"`
 	Plans      []faults.Plan `json:"plans,omitempty"`
 	Workloads  []string      `json:"workloads,omitempty"`
 	ChaosSeeds []int64       `json:"chaosSeeds,omitempty"`
@@ -113,9 +107,9 @@ type keyPayload struct {
 
 // Canonicalize validates the request and resolves every default to its
 // explicit value, so that spellings of the same work ("seeds omitted" vs
-// "seeds: 1", "shards: 0" vs "shards: 1", a workload list omitted vs
-// written out) normalize to one representative. Digest must only be
-// computed over a canonicalized request.
+// "seeds: 1", a workload list omitted vs written out) normalize to one
+// representative. Digest must only be computed over a canonicalized
+// request.
 func Canonicalize(req Request) (Request, error) {
 	switch req.Kind {
 	case Sweep:
@@ -129,7 +123,6 @@ func Canonicalize(req Request) (Request, error) {
 		req.Experiment = e.ID
 		if err := (cliconf.SweepParams{
 			Seeds: req.Seeds, SeedsMax: req.SeedsMax, RelCIPct: req.RelCIPct,
-			Shards: req.Shards,
 		}).Validate(); err != nil {
 			return req, err
 		}
@@ -143,9 +136,6 @@ func Canonicalize(req Request) (Request, error) {
 		if req.BaseSeed == 0 {
 			req.BaseSeed = 1
 		}
-		if req.Shards <= 0 {
-			req.Shards = 1
-		}
 		if len(req.Plans) != 0 || len(req.Workloads) != 0 || len(req.ChaosSeeds) != 0 {
 			return req, fmt.Errorf("campaign: sweep request must not carry chaos fields (plans, workloads, chaosSeeds)")
 		}
@@ -154,7 +144,7 @@ func Canonicalize(req Request) (Request, error) {
 		}
 	case Chaos:
 		if req.Experiment != "" || req.Seeds != 0 || req.SeedsMax != 0 || req.RelCIPct != 0 ||
-			req.BaseSeed != 0 || req.Faults != "" || req.Shards != 0 || req.Series != "" || req.X != 0 || req.Seed != 0 {
+			req.BaseSeed != 0 || req.Faults != "" || req.Series != "" || req.X != 0 || req.Seed != 0 {
 			return req, fmt.Errorf("campaign: chaos request carries only plans, workloads, and chaosSeeds")
 		}
 		if len(req.Plans) == 0 {
@@ -190,13 +180,6 @@ func Canonicalize(req Request) (Request, error) {
 			len(req.Plans) != 0 || len(req.Workloads) != 0 || len(req.ChaosSeeds) != 0 {
 			return req, fmt.Errorf("campaign: trace request carries only experiment, series, x, seed, and faults")
 		}
-		if req.Shards > 1 {
-			// A sharded run annotates trace events with shard/epoch ids, so
-			// the exported bytes are not the canonical serial trace. Keep
-			// trace artifacts canonical: one cell, one engine.
-			return req, fmt.Errorf("campaign: trace campaigns run serial (shards <= 1): sharded traces are not byte-canonical")
-		}
-		req.Shards = 0
 		if _, err := faults.Parse(req.Faults); err != nil {
 			return req, err
 		}
@@ -255,7 +238,6 @@ func Digest(req Request, code string) (string, error) {
 		SeedsMax:   req.SeedsMax,
 		RelCIPct:   req.RelCIPct,
 		BaseSeed:   req.BaseSeed,
-		Shards:     req.Shards,
 		Workloads:  req.Workloads,
 		ChaosSeeds: req.ChaosSeeds,
 		Series:     req.Series,
@@ -313,10 +295,9 @@ type Runner struct {
 	// Git is the code version recorded in artifacts; it must equal the
 	// code component of the digests the artifacts are cached under.
 	Git string
-	// Par / WorkerBudget bound the sweep worker pool per campaign (see
-	// sweep.Options); zero means the sweep defaults.
-	Par          int
-	WorkerBudget int
+	// Par bounds the sweep worker pool per campaign (see sweep.Options);
+	// zero means the sweep default.
+	Par int
 }
 
 // Run executes one canonicalized request and returns the artifact bytes:
@@ -335,8 +316,7 @@ func (r *Runner) Run(ctx context.Context, req Request, progress func(ProgressEve
 		opts := sweep.Options{
 			Seeds: req.Seeds, SeedsMax: req.SeedsMax, RelCIPct: req.RelCIPct,
 			BaseSeed: req.BaseSeed, Faults: req.Faults,
-			GitDescribe: r.Git,
-			Par:         r.Par, Shards: req.Shards, WorkerBudget: r.WorkerBudget,
+			GitDescribe: r.Git, Par: r.Par,
 		}
 		if progress != nil {
 			opts.Progress = func(p sweep.Progress) {

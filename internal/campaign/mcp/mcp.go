@@ -125,7 +125,6 @@ func (s *Server) tools() []toolDef {
 				"relCIPct":   num("sequential-stopping CI target in percent (sweep)"),
 				"baseSeed":   num("base seed perturbing every derived seed (sweep; default 1)"),
 				"faults":     str("fault-plan spec: preset name, uniform:drop=..., or @file.json (sweep and trace)"),
-				"shards":     num("engine shards per cell run (sweep; results are bit-identical at any count)"),
 				"series":     str("cell series (trace; empty = first cell)"),
 				"x":          num("cell x value (trace)"),
 				"seed":       num("run seed (trace; default 1)"),

@@ -193,3 +193,38 @@ func TestServeSession(t *testing.T) {
 		t.Fatal("fetch_result without a selector did not report a tool error")
 	}
 }
+
+// submit_campaign decodes its arguments strictly: a field the request no
+// longer has (the engine shard count) is a tool error, not a silently
+// ignored knob.
+func TestSubmitRejectsRemovedFields(t *testing.T) {
+	svc, err := server.NewService(server.Config{Git: "mcp-test", CacheDir: t.TempDir(), Jobs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Drain(context.Background())
+	srv := New(svc, "mcp-test")
+
+	input := call(1, "submit_campaign", `{"kind":"sweep","experiment":"ablate-eager","shards":2}`) + "\n"
+	var out bytes.Buffer
+	if err := srv.Serve(context.Background(), strings.NewReader(input), &out); err != nil {
+		t.Fatalf("Serve = %v", err)
+	}
+	var resp struct {
+		Result struct {
+			Content []struct {
+				Text string `json:"text"`
+			} `json:"content"`
+			IsError bool `json:"isError"`
+		} `json:"result"`
+	}
+	if err := json.Unmarshal(out.Bytes(), &resp); err != nil {
+		t.Fatalf("response is not JSON: %q", out.String())
+	}
+	if !resp.Result.IsError {
+		t.Fatalf("submit_campaign accepted a shards argument: %s", out.String())
+	}
+	if len(resp.Result.Content) != 1 || !strings.Contains(resp.Result.Content[0].Text, "shards") {
+		t.Fatalf("error does not name the rejected field: %s", out.String())
+	}
+}

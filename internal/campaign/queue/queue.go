@@ -103,16 +103,20 @@ func (j *Job) Publish(progress any) {
 
 // EventsSince returns the events from seq onward. If none exist yet it
 // returns a channel that is closed when the next event (of any kind)
-// arrives, so stream handlers can wait without polling.
-func (j *Job) EventsSince(seq int) ([]Event, <-chan struct{}) {
+// arrives, so stream handlers can wait without polling. terminal is the
+// job's state read under the same lock as the events: a follower that
+// gets no events and terminal == true has seen the final state event,
+// and may end its stream.
+func (j *Job) EventsSince(seq int) (evs []Event, wake <-chan struct{}, terminal bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	terminal = j.state.Terminal()
 	if seq < len(j.events) {
 		out := make([]Event, len(j.events)-seq)
 		copy(out, j.events[seq:])
-		return out, nil
+		return out, nil, terminal
 	}
-	return nil, j.notify
+	return nil, j.notify, terminal
 }
 
 // appendEventLocked records an event and wakes every waiting stream.

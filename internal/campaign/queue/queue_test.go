@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -40,7 +41,7 @@ func TestLifecycleDone(t *testing.T) {
 	}
 
 	// Event stream replays from the start: queued, running, progress, done.
-	evs, _ := j.EventsSince(0)
+	evs, _, _ := j.EventsSince(0)
 	var kinds []string
 	for _, ev := range evs {
 		if ev.Kind == "state" {
@@ -277,10 +278,10 @@ func TestEventsSinceWaitsForNext(t *testing.T) {
 	j, _, _ := q.Submit(k("ev"), nil)
 
 	// Consume everything, then wait for the next event.
-	evs, _ := j.EventsSince(0)
+	evs, _, _ := j.EventsSince(0)
 	next := len(evs)
 	for {
-		more, ch := j.EventsSince(next)
+		more, ch, _ := j.EventsSince(next)
 		if len(more) > 0 {
 			next += len(more)
 			continue
@@ -297,10 +298,52 @@ func TestEventsSinceWaitsForNext(t *testing.T) {
 	}
 	close(release)
 	wait(t, j)
-	evs, _ = j.EventsSince(0)
+	evs, _, _ = j.EventsSince(0)
 	last := evs[len(evs)-1]
 	if last.Kind != "state" || last.State != Done {
 		t.Fatalf("last event = %+v", last)
+	}
+}
+
+// TestFollowedStreamsEndWithTerminalEvent follows many short jobs the way
+// the spsimd event stream does: read, and stop once a read returns no
+// events and reports the job terminal. Each job finishes while its
+// follower rereads in a tight loop, so a terminal flag read apart from
+// the events would end some streams before their final state event.
+func TestFollowedStreamsEndWithTerminalEvent(t *testing.T) {
+	q := New(1, func(ctx context.Context, j *Job) ([]byte, error) {
+		j.Publish(1)
+		return []byte("x"), nil
+	})
+	defer q.Drain(context.Background())
+
+	for i := 0; i < 2000; i++ {
+		j, _, err := q.Submit(k(fmt.Sprint("follow", i)), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var last Event
+		deadline := time.Now().Add(10 * time.Second)
+		for next := 0; ; {
+			evs, _, terminal := j.EventsSince(next)
+			if len(evs) > 0 {
+				next += len(evs)
+				last = evs[len(evs)-1]
+				continue
+			}
+			if terminal {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("job %s: stream stalled in state %s", j.ID, j.State())
+			}
+			// Poll rather than wait on the wake channel: rereading at
+			// once keeps the follower inside the race window.
+			runtime.Gosched()
+		}
+		if last.Kind != "state" || !last.State.Terminal() {
+			t.Fatalf("stream of job %d ended on %+v, want its terminal state event", i, last)
+		}
 	}
 }
 

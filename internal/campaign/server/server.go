@@ -33,10 +33,9 @@ type Config struct {
 	CacheDir string
 	// Jobs bounds how many campaigns run concurrently (min 1).
 	Jobs int
-	// Par and WorkerBudget bound each campaign's internal worker pool
-	// (see sweep.Options); zero means the sweep defaults.
-	Par          int
-	WorkerBudget int
+	// Par bounds each campaign's internal worker pool (see
+	// sweep.Options); zero means the sweep default.
+	Par int
 }
 
 // Service is the campaign service: queue + cache + runner.
@@ -56,7 +55,7 @@ func NewService(cfg Config) (*Service, error) {
 	s := &Service{
 		git:    cfg.Git,
 		store:  store,
-		runner: &campaign.Runner{Git: cfg.Git, Par: cfg.Par, WorkerBudget: cfg.WorkerBudget},
+		runner: &campaign.Runner{Git: cfg.Git, Par: cfg.Par},
 	}
 	s.jobs = queue.New(cfg.Jobs, s.execute)
 	return s, nil
@@ -282,7 +281,7 @@ func (s *Service) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 
 	next := 0
 	for {
-		evs, wake := j.EventsSince(next)
+		evs, wake, terminal := j.EventsSince(next)
 		for _, ev := range evs {
 			data, err := json.Marshal(ev)
 			if err != nil {
@@ -302,7 +301,9 @@ func (s *Service) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 			// Drain everything buffered before deciding whether to wait.
 			continue
 		}
-		if j.State().Terminal() {
+		if terminal {
+			// Drained under the same lock that saw the terminal state, so
+			// the final state event has been written.
 			return
 		}
 		select {

@@ -236,15 +236,20 @@ func TestSubmitRejectsContradictions(t *testing.T) {
 		}
 	}
 	// Unknown fields are a client error, not silently ignored — a typoed
-	// knob must not digest as the default configuration.
-	resp, err := ts.Client().Post(ts.URL+"/v1/campaigns", "application/json",
-		strings.NewReader(`{"kind":"sweep","experiment":"fig10","sedes":4}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown field: status = %d, want 400", resp.StatusCode)
+	// knob must not digest as the default configuration, and a removed
+	// one (the engine shard count) must not be accepted and dropped.
+	for name, body := range map[string]string{
+		"unknown field":  `{"kind":"sweep","experiment":"fig10","sedes":4}`,
+		"removed shards": `{"kind":"sweep","experiment":"fig10","shards":2}`,
+	} {
+		resp, err := ts.Client().Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400", name, resp.StatusCode)
+		}
 	}
 }
 

@@ -1,8 +1,7 @@
 // Package cliconf is the shared command-line wiring for the simulator
 // binaries (spsim, sweep, pingpong, nasrun, walltime, chaos): machine
 // preset, fault plan, seed and trace flags are registered here once, so
-// every command spells them the same way and deprecations happen in one
-// place.
+// every command spells them the same way.
 package cliconf
 
 import (
@@ -26,57 +25,23 @@ func GitDescribe() string {
 	return strings.TrimSpace(string(out))
 }
 
-// FaultFlags is the fault-injection flag group: the -faults plan spec
-// plus the deprecated -drop/-dup aliases.
+// FaultFlags is the fault-injection flag group: the -faults plan spec.
 type FaultFlags struct {
 	spec *string
-	drop *float64
-	dup  *float64
 }
 
-// Faults registers the fault-injection flags on fs.
+// Faults registers the -faults flag on fs.
 func Faults(fs *flag.FlagSet) *FaultFlags {
-	f := &FaultFlags{}
-	f.spec = fs.String("faults", "", "fault plan: 'none', 'uniform:drop=P,dup=P,corrupt=P', a preset ("+
-		strings.Join(faults.PresetNames(), ", ")+"), or '@plan.json'")
-	f.drop = fs.Float64("drop", 0, "deprecated: alias for -faults uniform:drop=P (per-packet drop probability)")
-	f.dup = fs.Float64("dup", 0, "deprecated: alias for -faults uniform:dup=P (per-packet duplicate probability)")
-	return f
+	return &FaultFlags{spec: fs.String("faults", "", "fault plan: 'none', 'uniform:drop=P,dup=P,corrupt=P', a preset ("+
+		strings.Join(faults.PresetNames(), ", ")+"), or '@plan.json'")}
 }
 
-// Plan resolves the flags into a fault plan. Combining -faults with the
-// deprecated aliases is an error.
-func (f *FaultFlags) Plan() (faults.Plan, error) {
-	if *f.spec != "" && (*f.drop > 0 || *f.dup > 0) {
-		return faults.Plan{}, fmt.Errorf("cliconf: -faults cannot be combined with the deprecated -drop/-dup aliases")
-	}
-	if *f.spec != "" {
-		return faults.Parse(*f.spec)
-	}
-	return faults.Uniform(*f.drop, *f.dup), nil
-}
+// Plan resolves the flag into a fault plan.
+func (f *FaultFlags) Plan() (faults.Plan, error) { return faults.Parse(*f.spec) }
 
-// Spec returns the canonical plan spec for provenance records: the
-// -faults value, the uniform equivalent of the deprecated aliases, or ""
-// for a clean fabric.
-func (f *FaultFlags) Spec() string {
-	if *f.spec != "" {
-		return *f.spec
-	}
-	if *f.drop > 0 || *f.dup > 0 {
-		return fmt.Sprintf("uniform:drop=%g,dup=%g", *f.drop, *f.dup)
-	}
-	return ""
-}
-
-// Drop and Dup expose the deprecated alias values for call sites that
-// still persist them separately (sweep's Overrides record).
-func (f *FaultFlags) Drop() float64 { return *f.drop }
-func (f *FaultFlags) Dup() float64  { return *f.dup }
-
-// Raw returns the -faults value exactly as given ("" when unset),
-// without folding the deprecated aliases in.
-func (f *FaultFlags) Raw() string { return *f.spec }
+// Spec returns the -faults value exactly as given ("" for a clean
+// fabric), for provenance records.
+func (f *FaultFlags) Spec() string { return *f.spec }
 
 // MachineFlags is the machine-model flag group: cost-model preset plus
 // the fault flags (faults are machine configuration).
@@ -140,22 +105,17 @@ type SweepParams struct {
 	SeedsMax int
 	// RelCIPct is the sequential-stopping convergence target in percent.
 	RelCIPct float64
-	// Par is the outer worker-pool size (0 = GOMAXPROCS).
+	// Par is the worker-pool size (0 = GOMAXPROCS).
 	Par int
-	// Shards is the engine shard count per cell run (0/1 = serial).
-	Shards int
-	// WorkerBudget caps total concurrency across cells × shards (0 =
-	// unset).
-	WorkerBudget int
 }
 
 // Validate rejects contradictory or meaningless combinations. It is
 // deliberately stricter than the lower layers: sweep.Options.Validate
 // resolves what it can (flooring the pool to one worker, defaulting
 // zeros), while this check refuses requests whose parts contradict each
-// other — a -seeds-max below -seeds, a stopping cap without a target, a
-// shard count no budget could accommodate — because a request the server
-// would silently reinterpret is a cache key that lies about its run.
+// other — a -seeds-max below -seeds, a stopping cap without a target —
+// because a request the server would silently reinterpret is a cache key
+// that lies about its run.
 func (p SweepParams) Validate() error {
 	if p.Seeds < 0 {
 		return fmt.Errorf("cliconf: seeds must be >= 0, got %d", p.Seeds)
@@ -169,12 +129,6 @@ func (p SweepParams) Validate() error {
 	if p.Par < 0 {
 		return fmt.Errorf("cliconf: par must be >= 0, got %d", p.Par)
 	}
-	if p.Shards < 0 {
-		return fmt.Errorf("cliconf: shards must be >= 0, got %d", p.Shards)
-	}
-	if p.WorkerBudget < 0 {
-		return fmt.Errorf("cliconf: worker budget must be >= 0, got %d", p.WorkerBudget)
-	}
 	seeds := p.Seeds
 	if seeds == 0 {
 		seeds = 1
@@ -187,9 +141,6 @@ func (p SweepParams) Validate() error {
 	}
 	if p.RelCIPct != 0 && p.SeedsMax == 0 {
 		return fmt.Errorf("cliconf: rel-ci needs a seeds-max repetition cap (sequential stopping could sample forever without one)")
-	}
-	if p.WorkerBudget != 0 && p.Shards > p.WorkerBudget {
-		return fmt.Errorf("cliconf: contradictory parallelism: shards (%d) exceeds the worker budget (%d), so a single cell could never run", p.Shards, p.WorkerBudget)
 	}
 	return nil
 }

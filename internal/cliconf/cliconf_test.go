@@ -3,8 +3,6 @@ package cliconf
 import (
 	"flag"
 	"testing"
-
-	"splapi/internal/faults"
 )
 
 func newFS() *flag.FlagSet {
@@ -29,36 +27,6 @@ func TestFaultFlagsDefaultsToCleanFabric(t *testing.T) {
 	}
 }
 
-func TestFaultFlagsDeprecatedAliases(t *testing.T) {
-	fs := newFS()
-	ff := Faults(fs)
-	if err := fs.Parse([]string{"-drop", "0.01", "-dup", "0.002"}); err != nil {
-		t.Fatal(err)
-	}
-	plan, err := ff.Plan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := faults.Uniform(0.01, 0.002)
-	if len(plan.Rules) != len(want.Rules) {
-		t.Fatalf("alias plan %v, want %v", plan, want)
-	}
-	if got := ff.Spec(); got != "uniform:drop=0.01,dup=0.002" {
-		t.Fatalf("Spec() = %q", got)
-	}
-}
-
-func TestFaultFlagsSpecAndAliasConflict(t *testing.T) {
-	fs := newFS()
-	ff := Faults(fs)
-	if err := fs.Parse([]string{"-faults", "burst-loss", "-drop", "0.01"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ff.Plan(); err == nil {
-		t.Fatal("combining -faults with -drop must error")
-	}
-}
-
 func TestFaultFlagsPreset(t *testing.T) {
 	fs := newFS()
 	ff := Faults(fs)
@@ -72,8 +40,8 @@ func TestFaultFlagsPreset(t *testing.T) {
 	if plan.Name != "burst-loss" || plan.Empty() {
 		t.Fatalf("preset plan = %v", plan)
 	}
-	if ff.Raw() != "burst-loss" || ff.Spec() != "burst-loss" {
-		t.Fatalf("Raw/Spec = %q/%q", ff.Raw(), ff.Spec())
+	if ff.Spec() != "burst-loss" {
+		t.Fatalf("Spec = %q", ff.Spec())
 	}
 }
 
@@ -130,19 +98,14 @@ func TestSweepParamsValidate(t *testing.T) {
 		{"zero value", SweepParams{}, true},
 		{"plain seeds", SweepParams{Seeds: 16}, true},
 		{"stopping rule", SweepParams{Seeds: 4, SeedsMax: 32, RelCIPct: 2}, true},
-		{"shards within budget", SweepParams{Shards: 2, WorkerBudget: 8}, true},
-		{"shards equal budget", SweepParams{Shards: 4, WorkerBudget: 4}, true},
 		{"negative seeds", SweepParams{Seeds: -1}, false},
 		{"negative seeds-max", SweepParams{SeedsMax: -4}, false},
 		{"negative rel-ci", SweepParams{RelCIPct: -1}, false},
 		{"negative par", SweepParams{Par: -2}, false},
-		{"negative shards", SweepParams{Shards: -1}, false},
-		{"negative budget", SweepParams{WorkerBudget: -1}, false},
 		{"seeds-max below seeds", SweepParams{Seeds: 16, SeedsMax: 4, RelCIPct: 2}, false},
 		{"seeds-max below default seeds=1 is fine", SweepParams{SeedsMax: 1, RelCIPct: 2}, true},
 		{"seeds-max without rel-ci", SweepParams{Seeds: 4, SeedsMax: 32}, false},
 		{"rel-ci without seeds-max", SweepParams{Seeds: 4, RelCIPct: 2}, false},
-		{"shards over budget", SweepParams{Shards: 8, WorkerBudget: 4}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -145,9 +145,9 @@ func (p Plan) String() string {
 	return fmt.Sprintf("%d rules", len(p.Rules))
 }
 
-// Uniform is the compatibility shim for the old DropProb/DupProb knobs:
-// an always-active, every-pair plan dropping each packet with
-// probability drop and duplicating it with probability dup. The compiled
+// Uniform is the original flat-probability fault model: an always-active,
+// every-pair plan dropping each packet with probability drop and
+// duplicating it with probability dup. The compiled
 // injector draws randomness in exactly the order the old fabric did
 // (drop before transit, dup after), so uniform-drop sweeps regenerate
 // bit-identically through the new API.

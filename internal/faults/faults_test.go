@@ -146,7 +146,7 @@ func TestInjectorNilFastPath(t *testing.T) {
 
 // TestUniformDrawOrder locks the compat contract: a Uniform plan draws
 // exactly one variate for drop and one for dup per packet, in that
-// order, matching the retired DropProb/DupProb fabric code path.
+// order, matching the original flat drop/dup-probability fabric.
 func TestUniformDrawOrder(t *testing.T) {
 	const seed, n = 7, 200
 	eng := sim.NewEngine(seed)
@@ -162,7 +162,7 @@ func TestUniformDrawOrder(t *testing.T) {
 		want = append(want, ref.Rand().Float64() < 0.3, ref.Rand().Float64() < 0.2)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("uniform injector consumed the RNG stream differently from the old DropProb/DupProb code")
+		t.Fatal("uniform injector consumed the RNG stream differently from the original flat drop/dup-probability fabric")
 	}
 }
 

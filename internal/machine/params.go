@@ -159,7 +159,7 @@ type Params struct {
 	// per-route link outages and adapter receive-DMA stalls. The empty
 	// plan is the clean fabric and consumes no engine randomness, so
 	// benchmark runs are bit-identical with or without the subsystem.
-	// Use faults.Uniform for the old flat DropProb/DupProb behaviour.
+	// Use faults.Uniform for flat per-packet drop/dup probabilities.
 	Faults faults.Plan
 }
 

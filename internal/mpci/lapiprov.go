@@ -79,7 +79,7 @@ type LAPIProvider struct {
 	l      *lapi.LAPI
 	rank   int
 	size   int
-	bar    sim.JobBarrier
+	bar    *sim.Barrier
 	design Design
 
 	core matchCore
@@ -121,7 +121,7 @@ type LAPIProvider struct {
 
 // NewLAPI builds the MPI-LAPI MPCI for one task. The LAPI endpoint must
 // have been created with design.LAPIVariant().
-func NewLAPI(eng *sim.Engine, par *machine.Params, l *lapi.LAPI, size int, bar sim.JobBarrier, design Design) *LAPIProvider {
+func NewLAPI(eng *sim.Engine, par *machine.Params, l *lapi.LAPI, size int, bar *sim.Barrier, design Design) *LAPIProvider {
 	if l.Variant() != design.LAPIVariant() {
 		panic(fmt.Sprintf("mpci: design %v needs LAPI variant %v, got %v", design, design.LAPIVariant(), l.Variant()))
 	}

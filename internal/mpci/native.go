@@ -35,7 +35,7 @@ type NativeProvider struct {
 	pp   *pipes.Pipes
 	rank int
 	size int
-	bar  sim.JobBarrier
+	bar  *sim.Barrier
 
 	core matchCore
 
@@ -88,7 +88,7 @@ type ProviderStats struct {
 
 // NewNative builds the native MPCI for one task. bar is the job-wide
 // barrier shared by all tasks.
-func NewNative(eng *sim.Engine, par *machine.Params, h *hal.HAL, pp *pipes.Pipes, size int, bar sim.JobBarrier) *NativeProvider {
+func NewNative(eng *sim.Engine, par *machine.Params, h *hal.HAL, pp *pipes.Pipes, size int, bar *sim.Barrier) *NativeProvider {
 	pr := &NativeProvider{
 		eng:  eng,
 		par:  par,

@@ -30,7 +30,7 @@ import (
 // LAPI MPCI with the zero-copy rendezvous enabled. The LAPI endpoint must
 // use the Inline variant; the machine generation must support RDMA
 // (Params.RdmaSupported — HAL.Rdma panics otherwise).
-func NewRdmaLAPI(eng *sim.Engine, par *machine.Params, l *lapi.LAPI, size int, bar sim.JobBarrier) *LAPIProvider {
+func NewRdmaLAPI(eng *sim.Engine, par *machine.Params, l *lapi.LAPI, size int, bar *sim.Barrier) *LAPIProvider {
 	pr := NewLAPI(eng, par, l, size, bar, DesignEnhanced)
 	pr.zc = l.HAL().Rdma()
 	return pr

@@ -77,7 +77,7 @@ type Factory struct {
 	RequiresRdma bool
 	// Build constructs the stack for one node. The HAL's trace log is
 	// already attached; factories propagate it to the layers they build.
-	Build func(eng *sim.Engine, par *machine.Params, h *hal.HAL, size int, bar sim.JobBarrier) NodeStack
+	Build func(eng *sim.Engine, par *machine.Params, h *hal.HAL, size int, bar *sim.Barrier) NodeStack
 }
 
 // registry state: a lookup map plus a sorted name list, so listings never
@@ -116,8 +116,8 @@ func Providers() []Factory {
 }
 
 // lapiFactory builds the MPI-LAPI stack of one Section 5 design.
-func lapiFactory(design Design) func(eng *sim.Engine, par *machine.Params, h *hal.HAL, size int, bar sim.JobBarrier) NodeStack {
-	return func(eng *sim.Engine, par *machine.Params, h *hal.HAL, size int, bar sim.JobBarrier) NodeStack {
+func lapiFactory(design Design) func(eng *sim.Engine, par *machine.Params, h *hal.HAL, size int, bar *sim.Barrier) NodeStack {
+	return func(eng *sim.Engine, par *machine.Params, h *hal.HAL, size int, bar *sim.Barrier) NodeStack {
 		l := lapi.New(eng, par, h, size, design.LAPIVariant())
 		l.SetTrace(h.Trace())
 		return NodeStack{Prov: NewLAPI(eng, par, l, size, bar, design), LAPI: l}
@@ -129,7 +129,7 @@ func init() {
 		Name: "native",
 		Doc:  "original MPCI over the Pipes byte stream (Figure 1a)",
 		Caps: Capabilities{NativeFraming: true, HysteresisInterrupts: true},
-		Build: func(eng *sim.Engine, par *machine.Params, h *hal.HAL, size int, bar sim.JobBarrier) NodeStack {
+		Build: func(eng *sim.Engine, par *machine.Params, h *hal.HAL, size int, bar *sim.Barrier) NodeStack {
 			pp := pipes.New(eng, par, h, size)
 			pp.SetTrace(h.Trace())
 			return NodeStack{Prov: NewNative(eng, par, h, pp, size, bar), Pipes: pp}
@@ -158,7 +158,7 @@ func init() {
 		Doc:          "enhanced MPI-LAPI with zero-copy RDMA-read rendezvous",
 		Caps:         Capabilities{EnvelopeResequencing: true, InlineCompletions: true, ZeroCopyRendezvous: true},
 		RequiresRdma: true,
-		Build: func(eng *sim.Engine, par *machine.Params, h *hal.HAL, size int, bar sim.JobBarrier) NodeStack {
+		Build: func(eng *sim.Engine, par *machine.Params, h *hal.HAL, size int, bar *sim.Barrier) NodeStack {
 			l := lapi.New(eng, par, h, size, lapi.Inline)
 			l.SetTrace(h.Trace())
 			return NodeStack{Prov: NewRdmaLAPI(eng, par, l, size, bar), LAPI: l}

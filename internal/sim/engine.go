@@ -67,37 +67,21 @@ const (
 // recycled through a free list; gen counts reuses of the slot so a Timer
 // handle from a previous life can never cancel the current occupant.
 type event struct {
-	t Time
-	// ctime is the virtual time the event was scheduled at. In a serial
-	// run it is redundant with seq (events are scheduled in execution
-	// order, so seq order implies ctime order); in a sharded run it is
-	// what lets a cross-shard delivery take the same place among
-	// same-time events that it would have taken in the serial run, where
-	// its seq was assigned at send time rather than at epoch flush time.
-	ctime Time
-	seq   uint64 // tie-breaker: FIFO among same-(t,ctime) events
-	gen   uint32 // slot reuse count (see Timer)
-	kind  byte
-	dead  bool   // cancelled; skipped (and recycled) when popped
-	fn    func() // evCall
-	proc  *Proc  // evResume
+	t    Time
+	seq  uint64 // tie-breaker: FIFO among same-time events
+	gen  uint32 // slot reuse count (see Timer)
+	kind byte
+	dead bool   // cancelled; skipped (and recycled) when popped
+	fn   func() // evCall
+	proc *Proc  // evResume
 }
 
 // eventLess is the queue's strict total order. seq is unique, so two
 // distinct events never compare equal and any correct heap pops them in
 // exactly one order — the bedrock of bit-identical replay.
-//
-// The ctime term is provably a no-op for a serial engine: schedule
-// assigns seq in execution order and e.now never decreases, so for two
-// events with equal t, a.seq < b.seq implies a.ctime <= b.ctime. It
-// exists for sharded runs (see shard.go), where seq is per-shard and the
-// scheduling time is the only cross-shard-comparable tie key.
 func eventLess(a, b *event) bool {
 	if a.t != b.t {
 		return a.t < b.t
-	}
-	if a.ctime != b.ctime {
-		return a.ctime < b.ctime
 	}
 	return a.seq < b.seq
 }
@@ -116,17 +100,6 @@ type Engine struct {
 	running bool
 	procSeq int
 	stopped bool // Stop was called; Run drains no further events
-	// Sharding (see shard.go). group is nil for a serial engine. winStop
-	// asks runWindow to return after the current event (set by
-	// GroupBarrier.Await: a parked barrier waiter can learn nothing more
-	// this window, and stopping early lets the group recompute a tighter
-	// bound). crossSeq numbers this engine's cross-shard posts per
-	// destination-independent stream so the epoch merge is totally ordered.
-	group    *ShardGroup
-	shard    int
-	winStop  bool
-	winEnd   Time // current window bound; lowered in-flight by cross-shard posts
-	crossSeq uint64
 	// procPanic carries a panic out of a process goroutine so Run can
 	// re-raise it on the caller's goroutine (where tests can recover it).
 	procPanic any
@@ -237,20 +210,11 @@ func (e *Engine) release(ev *event) {
 
 // schedule enqueues an event at absolute time t (clamped to now).
 func (e *Engine) schedule(t Time, kind byte, fn func(), p *Proc) *event {
-	return e.scheduleCT(t, e.now, kind, fn, p)
-}
-
-// scheduleCT is schedule with an explicit creation time. The shard
-// coordinator uses it to give a cross-shard delivery (or a group-barrier
-// release) the creation time it had in the sending context, so the event
-// sorts among same-time local events exactly as in the serial run.
-func (e *Engine) scheduleCT(t, ctime Time, kind byte, fn func(), p *Proc) *event {
 	if t < e.now {
 		t = e.now
 	}
 	ev := e.alloc()
 	ev.t = t
-	ev.ctime = ctime
 	ev.seq = e.seq
 	ev.kind = kind
 	ev.fn = fn
@@ -307,9 +271,6 @@ func (e *Engine) Run(horizon Time) int {
 	if e.running {
 		panic("sim: Engine.Run re-entered")
 	}
-	if e.group != nil {
-		panic("sim: Engine.Run on a sharded engine; use ShardGroup.Run")
-	}
 	e.running = true
 	n := 0
 	for len(e.events) > 0 && !e.stopped {
@@ -335,7 +296,7 @@ func (e *Engine) Run(horizon Time) int {
 			fn()
 		} else if !p.done {
 			delete(e.blocked, p)
-			//simlint:allow baregoroutine resume/ctl is the scheduler's own token handoff, not cross-shard traffic
+			//simlint:allow baregoroutine resume/ctl is the scheduler's own serial token handoff
 			p.resume <- struct{}{}
 			<-e.ctl
 		}
@@ -350,95 +311,6 @@ func (e *Engine) Run(horizon Time) int {
 	e.running = false
 	e.killAll()
 	return n
-}
-
-// nextTime returns the time of the earliest pending live event. Dead
-// (cancelled) events encountered at the top are recycled on the way, so
-// the answer is exact. ok is false when the queue is empty.
-func (e *Engine) nextTime() (t Time, ok bool) {
-	for len(e.events) > 0 {
-		if !e.events[0].dead {
-			return e.events[0].t, true
-		}
-		e.release(e.pop())
-	}
-	return 0, false
-}
-
-// runWindow executes events strictly before end (exclusive), then returns.
-// Unlike Run it neither kills parked processes nor consumes events at or
-// past end; the clock stays at the last executed event. The effective
-// bound e.winEnd only ever tightens during the window: ShardGroup.post
-// lowers it when this shard sends cross-shard traffic, and
-// GroupBarrier.Await stops the window outright. It is the per-epoch work
-// unit of a ShardGroup and runs on the shard's runner goroutine — never
-// concurrently with another window on the same engine.
-func (e *Engine) runWindow(end Time) int {
-	if e.running {
-		panic("sim: Engine window re-entered")
-	}
-	e.running = true
-	e.winStop = false
-	e.winEnd = end
-	n := 0
-	for len(e.events) > 0 && !e.stopped {
-		if top := e.events[0]; top.dead {
-			e.release(e.pop())
-			continue
-		} else if top.t >= e.winEnd {
-			break
-		}
-		ev := e.pop()
-		e.now = ev.t
-		kind, fn, p := ev.kind, ev.fn, ev.proc
-		e.release(ev)
-		if kind == evCall {
-			fn()
-		} else if !p.done {
-			delete(e.blocked, p)
-			//simlint:allow baregoroutine resume/ctl is the scheduler's own token handoff, not cross-shard traffic
-			p.resume <- struct{}{}
-			<-e.ctl
-		}
-		n++
-		if e.procPanic != nil {
-			break
-		}
-		if e.winStop {
-			e.winStop = false
-			break
-		}
-	}
-	e.running = false
-	return n
-}
-
-// Shard returns this engine's shard index within its ShardGroup (0 for a
-// serial engine).
-func (e *Engine) Shard() int { return e.shard }
-
-// Group returns the ShardGroup this engine belongs to, or nil when serial.
-func (e *Engine) Group() *ShardGroup { return e.group }
-
-// Post schedules fn at absolute time t on dst, which may live on another
-// shard. On a serial engine (or when dst is the calling engine) it is
-// exactly dst.At. Across shards the call is buffered in the group's epoch
-// mailbox and delivered between epochs in a deterministic merge; t must
-// respect the group's conservative lookahead (t >= now + L), which holds by
-// construction for anything that crosses the switch fabric. Must be called
-// from e's simulation context.
-func (e *Engine) Post(dst *Engine, t Time, fn func()) {
-	if dst == e || e.group == nil {
-		dst.At(t, fn)
-		return
-	}
-	if dst.group != e.group {
-		panic("sim: Post across unrelated engines")
-	}
-	if t < e.now+e.group.lookahead {
-		panic(fmt.Sprintf("sim: Post violates lookahead: t=%v now=%v L=%v", t, e.now, e.group.lookahead))
-	}
-	e.group.post(e, dst, t, fn)
 }
 
 // killAll resumes every parked process with the killed flag set so its
@@ -459,7 +331,7 @@ func (e *Engine) killAll() {
 			}
 			delete(e.blocked, p)
 			p.killed = true
-			//simlint:allow baregoroutine resume/ctl is the scheduler's own token handoff, not cross-shard traffic
+			//simlint:allow baregoroutine resume/ctl is the scheduler's own serial token handoff
 			p.resume <- struct{}{}
 			<-e.ctl
 		}
@@ -499,7 +371,7 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	e.At(e.now, func() {
 		//simlint:allow baregoroutine Spawn owns the one legal goroutine; the ctl/resume token handoff serializes it with the engine
 		go p.run(fn)
-		//simlint:allow baregoroutine resume/ctl is the scheduler's own token handoff, not cross-shard traffic
+		//simlint:allow baregoroutine resume/ctl is the scheduler's own serial token handoff
 		p.resume <- struct{}{} // hand the token to the new process
 		<-e.ctl                // wait until it yields or finishes
 	})
@@ -520,7 +392,7 @@ func (p *Proc) run(fn func(p *Proc)) {
 		for i := len(p.onExit) - 1; i >= 0; i-- {
 			p.onExit[i]()
 		}
-		//simlint:allow baregoroutine resume/ctl is the scheduler's own token handoff, not cross-shard traffic
+		//simlint:allow baregoroutine resume/ctl is the scheduler's own serial token handoff
 		p.eng.ctl <- struct{}{} // hand the token back to the engine
 	}()
 	<-p.resume // wait for the spawn event to hand us the token
@@ -548,7 +420,7 @@ func (p *Proc) OnExit(fn func()) { p.onExit = append(p.onExit, fn) }
 // killed while parked, it unwinds.
 func (p *Proc) yield() {
 	p.eng.blocked[p] = struct{}{}
-	//simlint:allow baregoroutine resume/ctl is the scheduler's own token handoff, not cross-shard traffic
+	//simlint:allow baregoroutine resume/ctl is the scheduler's own serial token handoff
 	p.eng.ctl <- struct{}{}
 	<-p.resume
 	if p.killed {

@@ -10,16 +10,17 @@ import "go/ast"
 // created with sim.Engine.Spawn, which owns the only legal `go`
 // statement.
 //
-// Channel sends are the same hazard in epoch-synchronized sharded runs:
-// a host channel between shards bypasses the epoch mailbox (Engine.Post),
-// skipping both the lookahead admission check and the deterministic
-// (time, source-shard, seq) merge — delivery order then depends on the
-// host scheduler. The scheduler's own token-handoff and coordination
-// channels carry //simlint:allow annotations; everything else must route
-// cross-engine effects through Post.
+// Channel sends are the same hazard: the engine hands its one execution
+// token to a process with a send on the process's resume channel and
+// takes it back with a send on its control channel, so those sends are
+// the scheduler. Any other send wakes a receiver outside that handoff —
+// two pieces of simulated code then run at once, and their order depends
+// on the host scheduler. The kernel's token-handoff sends carry
+// //simlint:allow annotations; everything else must schedule its effect
+// as an engine event (Engine.At / After) or block on a sim primitive.
 var Baregoroutine = &Analyzer{
 	Name:      "baregoroutine",
-	Doc:       "forbid bare `go` statements and channel sends in simulation packages; use sim.Engine.Spawn / sim.Engine.Post",
+	Doc:       "forbid bare `go` statements and channel sends in simulation packages; use sim.Engine.Spawn / sim.Engine.At",
 	AppliesTo: InSimDomain,
 	Run:       baregoroutineRun,
 }
@@ -33,7 +34,7 @@ func baregoroutineRun(pass *Pass) {
 					"bare goroutine in a simulation package: real goroutines race with the cooperative Proc scheduler; use sim.Engine.Spawn")
 			case *ast.SendStmt:
 				pass.Reportf(s.Pos(),
-					"channel send in a simulation package: host channels bypass the epoch mailbox's lookahead check and deterministic merge; cross-engine effects must go through sim.Engine.Post")
+					"channel send in a simulation package: host channels bypass the engine's serial token handoff; schedule the effect with sim.Engine.At or block on a sim primitive")
 			}
 			return true
 		})

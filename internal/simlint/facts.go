@@ -125,18 +125,17 @@ func (pr *Program) deliveryOwner(key string) bool { return pr.deliveryOwners[key
 type primKey struct{ pkg, recv, name string }
 
 var blockingPrims = map[primKey]string{
-	{"sim", "Proc", "Sleep"}:         "sim.Proc.Sleep",
-	{"sim", "Proc", "Yield"}:         "sim.Proc.Yield",
-	{"sim", "Cond", "Wait"}:          "sim.Cond.Wait",
-	{"sim", "Cond", "WaitTimeout"}:   "sim.Cond.WaitTimeout",
-	{"sim", "Queue", "Get"}:          "sim.Queue.Get",
-	{"sim", "Queue", "Put"}:          "sim.Queue.Put",
-	{"sim", "Resource", "Acquire"}:   "sim.Resource.Acquire",
-	{"sim", "Resource", "Use"}:       "sim.Resource.Use",
-	{"sim", "Barrier", "Await"}:      "sim.Barrier.Await",
-	{"sim", "GroupBarrier", "Await"}: "sim.GroupBarrier.Await",
-	{"hal", "HAL", "ProgressWait"}:   "hal.HAL.ProgressWait",
-	{"lapi", "Counter", "Wait"}:      "lapi.Counter.Wait",
+	{"sim", "Proc", "Sleep"}:       "sim.Proc.Sleep",
+	{"sim", "Proc", "Yield"}:       "sim.Proc.Yield",
+	{"sim", "Cond", "Wait"}:        "sim.Cond.Wait",
+	{"sim", "Cond", "WaitTimeout"}: "sim.Cond.WaitTimeout",
+	{"sim", "Queue", "Get"}:        "sim.Queue.Get",
+	{"sim", "Queue", "Put"}:        "sim.Queue.Put",
+	{"sim", "Resource", "Acquire"}: "sim.Resource.Acquire",
+	{"sim", "Resource", "Use"}:     "sim.Resource.Use",
+	{"sim", "Barrier", "Await"}:    "sim.Barrier.Await",
+	{"hal", "HAL", "ProgressWait"}: "hal.HAL.ProgressWait",
+	{"lapi", "Counter", "Wait"}:    "lapi.Counter.Wait",
 }
 
 // lapiComm are the LAPI communication entry points. They double as

@@ -13,11 +13,11 @@ func fireNamed(f func()) {
 	go f() // want `bare goroutine`
 }
 
-// crossShard models the forbidden pattern the analyzer exists to catch:
-// handing a simulated event to another shard over a host channel instead
-// of the epoch mailbox (sim.Engine.Post). The send bypasses the lookahead
-// admission check and the deterministic merge.
-func crossShard(peer chan int, payload int) {
+// handOff models the forbidden pattern the analyzer exists to catch:
+// handing a simulated event to another piece of simulated code over a
+// host channel instead of scheduling it on the engine (sim.Engine.At).
+// The send wakes its receiver outside the engine's serial token handoff.
+func handOff(peer chan int, payload int) {
 	peer <- payload // want `channel send`
 }
 

@@ -16,11 +16,8 @@ func (r *Result) Print(w io.Writer) {
 		fmt.Fprintf(w, "  sequential stopping: batches of %d up to %d seeds, target rel CI %.3g%%\n",
 			r.Seeds, r.SeedsMax, r.RelCIPct)
 	}
-	switch {
-	case r.Overrides.Faults != "":
+	if r.Overrides.Faults != "" {
 		fmt.Fprintf(w, "  fault injection: %s\n", r.Overrides.Faults)
-	case r.Overrides.DropProb > 0 || r.Overrides.DupProb > 0:
-		fmt.Fprintf(w, "  fault injection: drop=%.3g dup=%.3g\n", r.Overrides.DropProb, r.Overrides.DupProb)
 	}
 	fmt.Fprintf(w, "%-28s %10s %4s %12s %12s %12s %10s %10s %12s\n",
 		"series", "x", "n", "median", "min", "max", "ci95±", "method", "rtx/pkts")

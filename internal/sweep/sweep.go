@@ -69,12 +69,6 @@ type Options struct {
 	// deterministic per seed and the dispersion statistics collapse to a
 	// point; with faults enabled the seed list yields a real distribution.
 	Faults string
-	// DropProb / DupProb are the deprecated flat-probability overrides,
-	// kept so old call sites keep working: they are shorthand for
-	// Faults = "uniform:drop=DropProb,dup=DupProb" and must not be
-	// combined with an explicit Faults spec.
-	DropProb float64
-	DupProb  float64
 	// GitDescribe is recorded in the result for provenance (the CLI fills
 	// it from `git describe`).
 	GitDescribe string
@@ -82,17 +76,6 @@ type Options struct {
 	// discarded — the option exists to prove (in determinism checks) that
 	// tracing cannot move a virtual-time result.
 	Trace bool
-	// Shards runs every cell on that many engine shards (sim.ShardGroup)
-	// instead of one serial engine. Virtual-time results are bit-identical
-	// at every shard count, so the option never appears in the persisted
-	// artifact; it only trades outer (cell-level) parallelism for inner
-	// (shard-level) parallelism on big cells. 0 or 1 means serial.
-	Shards int
-	// WorkerBudget caps the total goroutine concurrency the sweep may
-	// consume: the outer worker pool is scaled down to at most
-	// budget/Shards workers (floor 1) so cells x shards never oversubscribe
-	// the host. <= 0 means max(GOMAXPROCS, Par).
-	WorkerBudget int
 	// Progress, when non-nil, receives one host-side event per completed
 	// repetition. Events arrive from worker goroutines serialized by an
 	// internal mutex, but their order reflects scheduling, not cell order
@@ -114,42 +97,18 @@ type Progress struct {
 	Planned int    `json:"planned"`
 }
 
-// Validate checks the parallelism options and resolves the outer
-// worker-pool size. Negative Par, Shards, or WorkerBudget values are
-// rejected explicitly — a negative here is always a caller bug, and
-// silently treating it as "default" used to mask flag-plumbing mistakes.
+// Validate checks the parallelism options and resolves the worker-pool
+// size. A negative Par is rejected explicitly — it is always a caller
+// bug, and silently treating it as "default" used to mask flag-plumbing
+// mistakes.
 func (o Options) Validate() (workers int, err error) {
 	if o.Par < 0 {
 		return 0, fmt.Errorf("sweep: Par must be >= 0, got %d", o.Par)
 	}
-	if o.Shards < 0 {
-		return 0, fmt.Errorf("sweep: Shards must be >= 0, got %d", o.Shards)
+	if o.Par == 0 {
+		return runtime.GOMAXPROCS(0), nil
 	}
-	if o.WorkerBudget < 0 {
-		return 0, fmt.Errorf("sweep: WorkerBudget must be >= 0, got %d", o.WorkerBudget)
-	}
-	workers = o.Par
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	shards := o.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	budget := o.WorkerBudget
-	if budget <= 0 {
-		budget = workers
-		if g := runtime.GOMAXPROCS(0); g > budget {
-			budget = g
-		}
-	}
-	if workers*shards > budget {
-		workers = budget / shards
-		if workers < 1 {
-			workers = 1
-		}
-	}
-	return workers, nil
+	return o.Par, nil
 }
 
 // TraceCounters is the compact per-point protocol/fabric counter summary,
@@ -238,9 +197,11 @@ type SeriesVariance struct {
 
 // Overrides records the matrix-level parameter overrides a result was
 // produced under.
+//
+// Older artifacts also carry dropProb/dupProb fields, the retired flat
+// fault knobs; they are zero in every committed file and Load ignores
+// them.
 type Overrides struct {
-	DropProb float64 `json:"dropProb"`
-	DupProb  float64 `json:"dupProb"`
 	// Faults is the fault-plan spec the sweep ran under ("" = clean
 	// fabric; omitted then, keeping fault-free artifacts byte-identical).
 	Faults string `json:"faults,omitempty"`
@@ -394,15 +355,9 @@ func RunCtx(ctx context.Context, e bench.Experiment, o Options) (*Result, error)
 	} else if _, err := bench.ParseDirection(string(e.Direction)); err != nil {
 		return nil, err
 	}
-	if o.Faults != "" && (o.DropProb > 0 || o.DupProb > 0) {
-		return nil, fmt.Errorf("sweep: Faults spec and DropProb/DupProb overrides are mutually exclusive")
-	}
 	plan, err := faults.Parse(o.Faults)
 	if err != nil {
 		return nil, err
-	}
-	if plan.Empty() {
-		plan = faults.Uniform(o.DropProb, o.DupProb)
 	}
 	var mod bench.ParamMod
 	if !plan.Empty() {
@@ -470,7 +425,7 @@ func RunCtx(ctx context.Context, e bench.Experiment, o Options) (*Result, error)
 						if o.Trace {
 							tl = tracelog.New(0)
 						}
-						slots[j.cell][j.rep] = c.Run(bench.RunSpec{Seed: seed, Mod: mod, Trace: tl, Shards: o.Shards})
+						slots[j.cell][j.rep] = c.Run(bench.RunSpec{Seed: seed, Mod: mod, Trace: tl})
 					}()
 					if o.Progress != nil {
 						c := e.Cells[j.cell]
@@ -528,7 +483,7 @@ func RunCtx(ctx context.Context, e bench.Experiment, o Options) (*Result, error)
 		SeedsMax:    o.SeedsMax,
 		RelCIPct:    o.RelCIPct,
 		BaseSeed:    base,
-		Overrides:   Overrides{DropProb: o.DropProb, DupProb: o.DupProb, Faults: o.Faults},
+		Overrides:   Overrides{Faults: o.Faults},
 		WallClock:   time.Since(start),
 		Par:         par,
 	}

@@ -120,7 +120,7 @@ func TestFaultInjectionProducesDispersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Cells = full.Cells[:2]
-	r, err := Run(e, Options{Seeds: 4, Par: 2, DropProb: 0.004})
+	r, err := Run(e, Options{Seeds: 4, Par: 2, Faults: "uniform:drop=0.004"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,5 +337,18 @@ func TestRunPropagatesPanics(t *testing.T) {
 	}}}
 	if _, err := Run(e, Options{Seeds: 2, Par: 2}); err == nil {
 		t.Fatal("Run swallowed a cell panic")
+	}
+}
+
+// TestValidateRejectsNegatives: parallelism options are validated
+// explicitly — a negative is always a caller bug, and silently treating
+// it as "default" used to mask flag-plumbing mistakes.
+func TestValidateRejectsNegatives(t *testing.T) {
+	o := Options{Par: -1}
+	if _, err := o.Validate(); err == nil {
+		t.Errorf("Validate accepted %+v", o)
+	}
+	if _, err := Run(bench.Experiment{ID: "x", Unit: "us"}, o); err == nil {
+		t.Errorf("Run accepted %+v", o)
 	}
 }

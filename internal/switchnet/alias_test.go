@@ -102,9 +102,9 @@ func TestInFlightPayloadImmutableAfterSendReturns(t *testing.T) {
 }
 
 // TestDupPayloadSnapshotUnderFaultInjection covers the same aliasing family
-// on the fault-injection path: with DupProb > 0 the duplicate packet must
-// carry the injected bytes, not a live alias of the sender's buffer, and
-// the two deliveries must not alias each other.
+// on the fault-injection path: with a nonzero dup probability the duplicate
+// packet must carry the injected bytes, not a live alias of the sender's
+// buffer, and the two deliveries must not alias each other.
 func TestDupPayloadSnapshotUnderFaultInjection(t *testing.T) {
 	e := sim.NewEngine(3)
 	par := machine.SP332()

@@ -128,11 +128,6 @@ func writeOne(bw *bufio.Writer, e *Event) {
 	}
 	fmt.Fprintf(bw, `,"args":{"tns":%d,"layer":%q,"kind":%q,"node":%d,"peer":%d,"msg":"0x%x","size":%d,"arg":%d`,
 		int64(e.T), e.Layer.String(), e.Kind.String(), e.Node, e.Peer, e.Msg, e.Size, e.Arg)
-	// Shard/epoch annotations only appear when a sharded run recorded them,
-	// so serial exports stay byte-identical to pre-shard tracelog/v1 files.
-	if e.Shard != 0 || e.Epoch != 0 {
-		fmt.Fprintf(bw, `,"shard":%d,"epoch":%d`, e.Shard, e.Epoch)
-	}
 	bw.WriteString("}}")
 }
 
@@ -157,8 +152,6 @@ type chromeArgs struct {
 	Msg   string `json:"msg"`
 	Size  int32  `json:"size"`
 	Arg   int64  `json:"arg"`
-	Shard int16  `json:"shard"` // absent (0) in serial exports
-	Epoch int32  `json:"epoch"`
 }
 
 // ReadChrome parses a tracelog/v1 export back into the canonical event
@@ -199,7 +192,6 @@ func ReadChrome(r io.Reader) ([]Event, error) {
 		}
 		evs = append(evs, Event{
 			T: sim.Time(*a.TNS), Layer: la, Kind: k,
-			Shard: a.Shard, Epoch: a.Epoch,
 			Node: a.Node, Peer: a.Peer, Msg: msg, Size: a.Size, Arg: a.Arg,
 		})
 	}
