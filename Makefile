@@ -60,20 +60,22 @@ bench-smoke:
 	go run ./cmd/walltime -smoke -o /tmp/BENCH_walltime_smoke.json
 	go run ./cmd/walltime -rounds 5 -gateref BENCH_walltime.json -gate 2
 
-# determinism-check regenerates the fig10 sweep (16 seeds, same knobs as
-# the committed artifact) and demands point-identity at zero tolerance:
-# performance work on the kernel must never move a virtual-time result.
-# The second pass re-sweeps with an event log attached to every cell:
-# tracing is observational, so traced results must be identical too.
-# The ring pass regenerates the largest committed workload (16 nodes, all
-# busy) the same way.
+# determinism-check regenerates every committed sweep artifact (the
+# compare-selfcheck glob: fig10-13, the three ablations and ring) from 16
+# seeds, same knobs as the committed files, and demands point-identity at
+# zero tolerance: performance work on the kernel must never move a
+# virtual-time result. The last pass re-sweeps fig10 with an event log
+# attached to every cell: tracing is observational, so traced results must
+# be identical too.
 determinism-check:
-	go run ./cmd/sweep -exp fig10 -seeds 16 -o /tmp/BENCH_fig10_regen.json
-	go run ./cmd/sweep -compare BENCH_fig10.json /tmp/BENCH_fig10_regen.json -tol 0
-	go run ./cmd/sweep -exp fig10 -seeds 16 -trace -o /tmp/BENCH_fig10_traced.json
-	go run ./cmd/sweep -compare BENCH_fig10.json /tmp/BENCH_fig10_traced.json -tol 0
-	go run ./cmd/sweep -exp ring -seeds 16 -o /tmp/BENCH_ring_regen.json
-	go run ./cmd/sweep -compare BENCH_ring.json /tmp/BENCH_ring_regen.json -tol 0
+	go build -o /tmp/splapi-sweep ./cmd/sweep
+	for f in BENCH_fig1[0-3].json BENCH_ablate-*.json BENCH_ring.json; do \
+		id=$${f#BENCH_}; id=$${id%.json}; \
+		/tmp/splapi-sweep -exp $$id -seeds 16 -o /tmp/BENCH_$${id}_regen.json || exit 1; \
+		/tmp/splapi-sweep -compare $$f /tmp/BENCH_$${id}_regen.json -tol 0 || exit 1; \
+	done
+	/tmp/splapi-sweep -exp fig10 -seeds 16 -trace -o /tmp/BENCH_fig10_traced.json
+	/tmp/splapi-sweep -compare BENCH_fig10.json /tmp/BENCH_fig10_traced.json -tol 0
 
 # compare-selfcheck runs the regression gate's core soundness property
 # over every committed sweep artifact: a result compared against itself at

@@ -20,9 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 
 	"splapi/internal/chaos"
 	"splapi/internal/cliconf"
@@ -65,8 +63,9 @@ func run() int {
 	}
 
 	// Ctrl-C (or SIGTERM) lets the (workload, seed) run in flight finish
-	// and then aborts the matrix without writing a partial artifact.
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	// and then aborts the matrix without writing a partial artifact. A
+	// second signal terminates at once.
+	ctx, cancel := cliconf.InterruptContext()
 	defer cancel()
 
 	res, err := chaos.RunCtx(ctx, o)

@@ -24,9 +24,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 
 	"splapi/internal/bench"
 	"splapi/internal/cliconf"
@@ -145,7 +143,8 @@ func run() int {
 	// Ctrl-C (or SIGTERM) drains the worker pool: in-flight cells finish,
 	// queued ones are skipped, and the sweep exits without writing an
 	// artifact — a file of partial points would pass for a complete run.
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	// A second signal terminates at once.
+	ctx, cancel := cliconf.InterruptContext()
 	defer cancel()
 
 	git := cliconf.GitDescribe()

@@ -37,8 +37,8 @@ func TestSleepZeroAllocSteadyState(t *testing.T) {
 	}
 	e.Spawn("warm", body)
 	e.Run(0)
-	// Each run pays a constant spawn cost (Proc, channel, goroutine, event
-	// heap churn); with the engine warm, the laps themselves must add
+	// Each run pays a constant spawn cost (Proc, coroutine, event heap
+	// churn); with the engine warm, the laps themselves must add
 	// nothing, so any per-lap allocation would show up as >= laps.
 	allocs := testing.AllocsPerRun(10, func() {
 		e.Spawn("sleeper", body)

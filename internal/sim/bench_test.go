@@ -48,7 +48,7 @@ func BenchmarkTimerStop(b *testing.B) {
 }
 
 // BenchmarkSleep measures the full park/unpark round trip of Proc.Sleep:
-// one timer event plus two token handoffs through the ctl/resume channels.
+// one timer event plus two coroutine switches (park and resume).
 func BenchmarkSleep(b *testing.B) {
 	e := NewEngine(1)
 	b.ReportAllocs()

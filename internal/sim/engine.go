@@ -1,12 +1,16 @@
+//go:build go1.23
+
 // Package sim implements a deterministic, process-oriented discrete-event
 // simulation kernel with a virtual nanosecond clock.
 //
 // The kernel executes exactly one logical thread of control at a time: either
-// the engine's event loop or a single simulated process. Control is passed
-// between goroutines with a single "token", so simulated code never races
-// with other simulated code even though each process is a real goroutine.
-// This makes the whole simulation deterministic: given the same seed and the
-// same program, every virtual timestamp is identical on every run.
+// the engine's event loop or a single simulated process. Each process is a
+// runtime coroutine (iter.Pull): the engine resumes it with the coroutine's
+// next function and the process parks by yielding back, so control moves by
+// a direct coroutine switch rather than through the host scheduler.
+// Simulated code therefore never races with other simulated code, and the
+// whole simulation is deterministic: given the same seed and the same
+// program, every virtual timestamp is identical on every run.
 //
 // Processes are spawned with Engine.Spawn and block using the primitives in
 // this package (Proc.Sleep, Cond.Wait, Resource.Acquire, Queue.Get, ...).
@@ -25,6 +29,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 	"sort"
 )
@@ -91,18 +96,14 @@ func eventLess(a, b *event) bool {
 type Engine struct {
 	now     Time
 	seq     uint64
-	events  []*event      // 4-ary min-heap ordered by eventLess
-	free    []*event      // recycled event slots
-	ctl     chan struct{} // token returned to the engine by a yielding proc
+	events  []*event // 4-ary min-heap ordered by eventLess
+	free    []*event // recycled event slots
 	rng     *rand.Rand
 	procs   map[*Proc]struct{} // live (spawned, not finished) processes
 	blocked map[*Proc]struct{} // processes parked on a primitive
 	running bool
 	procSeq int
 	stopped bool // Stop was called; Run drains no further events
-	// procPanic carries a panic out of a process goroutine so Run can
-	// re-raise it on the caller's goroutine (where tests can recover it).
-	procPanic any
 	// pool is large (free lists + per-class counters for every size class)
 	// and cold relative to the dispatch loop; keeping it last keeps the
 	// scalar fields above packed into the leading cache lines.
@@ -113,7 +114,6 @@ type Engine struct {
 // random source is seeded with seed (determinism: same seed, same schedule).
 func NewEngine(seed int64) *Engine {
 	return &Engine{
-		ctl: make(chan struct{}),
 		//simlint:allow globalrand the engine owns the per-run root source; all other sim code draws from Engine.Rand()
 		rng:     rand.New(rand.NewSource(seed)),
 		procs:   make(map[*Proc]struct{}),
@@ -265,13 +265,16 @@ func (e *Engine) Stop() { e.stopped = true }
 
 // Run executes events until the queue is empty, the horizon is exceeded, or
 // Stop is called. horizon <= 0 means no horizon. It returns the number of
-// events executed. After the loop it force-kills any still-parked processes
-// so their goroutines exit (their pending work is abandoned).
+// events executed. When it returns it kills every still-parked process, so
+// none keeps its coroutine alive (their pending work is abandoned). A panic
+// from a callback or a process propagates to Run's caller unchanged, after
+// the same kill.
 func (e *Engine) Run(horizon Time) int {
 	if e.running {
 		panic("sim: Engine.Run re-entered")
 	}
 	e.running = true
+	defer e.finish()
 	n := 0
 	for len(e.events) > 0 && !e.stopped {
 		ev := e.pop()
@@ -296,27 +299,25 @@ func (e *Engine) Run(horizon Time) int {
 			fn()
 		} else if !p.done {
 			delete(e.blocked, p)
-			//simlint:allow baregoroutine resume/ctl is the scheduler's own serial token handoff
-			p.resume <- struct{}{}
-			<-e.ctl
+			p.next()
 		}
 		n++
-		if e.procPanic != nil {
-			r := e.procPanic
-			e.procPanic = nil
-			e.running = false
-			panic(r)
-		}
 	}
-	e.running = false
-	e.killAll()
 	return n
 }
 
-// killAll resumes every parked process with the killed flag set so its
-// goroutine unwinds (see Proc.yield), then waits for it to exit. Kill order
-// is ascending proc id; exit hooks may park further processes, so the scan
-// repeats until the blocked set drains.
+// finish ends a Run, also one that a panic is unwinding: a recovered panic
+// must not leave parked processes holding their coroutines (and through
+// them the whole cluster) or the engine marked as running.
+func (e *Engine) finish() {
+	e.running = false
+	e.killAll()
+}
+
+// killAll resumes every parked process with the killed flag set so it
+// unwinds (see Proc.yield) and returns. Kill order is ascending proc id; a
+// process that parks again while unwinding re-enters the blocked set, so
+// the scan repeats until the blocked set drains.
 func (e *Engine) killAll() {
 	var order []*Proc
 	for len(e.blocked) > 0 {
@@ -331,9 +332,7 @@ func (e *Engine) killAll() {
 			}
 			delete(e.blocked, p)
 			p.killed = true
-			//simlint:allow baregoroutine resume/ctl is the scheduler's own serial token handoff
-			p.resume <- struct{}{}
-			<-e.ctl
+			p.next()
 		}
 	}
 }
@@ -351,54 +350,50 @@ func (e *Engine) BlockedProcs() int { return len(e.blocked) }
 type procKilled struct{}
 
 // Proc is a simulated process. Exactly one Proc (or the engine) runs at a
-// time. All methods must be called from the process's own goroutine.
+// time. All methods must be called from the process itself.
 type Proc struct {
 	eng    *Engine
 	name   string
 	id     int
-	resume chan struct{}
+	next   func() (struct{}, bool) // resumes the coroutine until it parks or ends
+	park   func(struct{}) bool     // the coroutine's yield: control back to the engine
 	killed bool
 	done   bool
 	onExit []func()
 }
 
 // Spawn creates a process named name running fn, starting at the current
-// virtual time (after already-scheduled same-time events).
+// virtual time (after already-scheduled same-time events). The coroutine
+// is created when the process starts, so one that never starts holds none.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{eng: e, name: name, id: e.procSeq, resume: make(chan struct{})}
+	p := &Proc{eng: e, name: name, id: e.procSeq}
 	e.procSeq++
 	e.procs[p] = struct{}{}
 	e.At(e.now, func() {
-		//simlint:allow baregoroutine Spawn owns the one legal goroutine; the ctl/resume token handoff serializes it with the engine
-		go p.run(fn)
-		//simlint:allow baregoroutine resume/ctl is the scheduler's own serial token handoff
-		p.resume <- struct{}{} // hand the token to the new process
-		<-e.ctl                // wait until it yields or finishes
+		p.next, _ = iter.Pull(func(park func(struct{}) bool) {
+			p.park = park
+			p.run(fn)
+		})
+		p.next() // run it until it parks or finishes
 	})
 	return p
 }
 
+// run is the coroutine body. A kill unwinds to here and ends quietly; any
+// other panic re-raises after the exit hooks and leaves the coroutine
+// through the engine's next call.
 func (p *Proc) run(fn func(p *Proc)) {
 	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(procKilled); !ok {
-				// A real panic from simulated code: carry it to the
-				// engine goroutine, where Run re-raises it.
-				p.eng.procPanic = r
-			}
-		}
+		r := recover()
 		p.done = true
 		delete(p.eng.procs, p)
 		for i := len(p.onExit) - 1; i >= 0; i-- {
 			p.onExit[i]()
 		}
-		//simlint:allow baregoroutine resume/ctl is the scheduler's own serial token handoff
-		p.eng.ctl <- struct{}{} // hand the token back to the engine
+		if _, killed := r.(procKilled); r != nil && !killed {
+			panic(r)
+		}
 	}()
-	<-p.resume // wait for the spawn event to hand us the token
-	if p.killed {
-		panic(procKilled{})
-	}
 	fn(p)
 }
 
@@ -411,19 +406,15 @@ func (p *Proc) Engine() *Engine { return p.eng }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.eng.now }
 
-// OnExit registers fn to run (in the process goroutine) when the process
+// OnExit registers fn to run (in the process coroutine) when the process
 // finishes or is killed. LIFO order.
 func (p *Proc) OnExit(fn func()) { p.onExit = append(p.onExit, fn) }
 
-// yield parks the process: the token goes back to the engine, and the
-// process sleeps until something sends on p.resume. If the process was
-// killed while parked, it unwinds.
+// yield parks the process: control goes back to the engine until an event
+// resumes the coroutine. If the process was killed while parked, it unwinds.
 func (p *Proc) yield() {
 	p.eng.blocked[p] = struct{}{}
-	//simlint:allow baregoroutine resume/ctl is the scheduler's own serial token handoff
-	p.eng.ctl <- struct{}{}
-	<-p.resume
-	if p.killed {
+	if !p.park(struct{}{}) || p.killed {
 		panic(procKilled{})
 	}
 }

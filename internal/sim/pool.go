@@ -9,8 +9,8 @@ import "math/bits"
 //
 // The pool is deliberately not sync.Pool:
 //
-//   - Determinism. All simulated code runs single-threaded under the engine
-//     token, so plain LIFO free lists need no locks, and — unlike sync.Pool,
+//   - Determinism. An engine runs one thread of simulated control at a
+//     time, so plain LIFO free lists need no locks, and — unlike sync.Pool,
 //     whose reuse pattern depends on GC timing and per-P caches — the
 //     sequence of buffers handed out is a pure function of the simulation's
 //     own event order. Buffer identity can therefore never leak scheduling

@@ -24,7 +24,7 @@ func (w *waiter) wake(timedOut bool) {
 
 // Cond is a condition variable for simulated processes. The zero value is
 // ready to use. Unlike sync.Cond there is no associated lock: all simulated
-// code already runs single-threaded under the engine token.
+// code already runs one process at a time under the engine.
 type Cond struct {
 	waiters []*waiter
 }

@@ -17,8 +17,8 @@
 //	                a copy
 //	maporder      — no map iteration that schedules events, sends packets,
 //	                or accumulates into an ordered slice
-//	baregoroutine — no `go` statements in simulation packages; use
-//	                sim.Engine.Spawn
+//	baregoroutine — no `go` statements or channel sends in simulation
+//	                packages; use sim.Engine.Spawn / sim.Engine.At
 //	handlerctx    — code reachable from a registered LAPI header handler
 //	                (or an Enhanced-regime completion handler) must not
 //	                block, re-enter LAPI, or Spawn; interprocedural, with

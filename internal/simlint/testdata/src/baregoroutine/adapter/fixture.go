@@ -1,6 +1,6 @@
 // Fixture: bare goroutines and channel sends in a simulation-domain
 // package must be flagged; the allow directive is the escape hatch for
-// scheduler internals.
+// an intentional exception.
 package adapter
 
 func fire(done chan struct{}) {
@@ -16,7 +16,7 @@ func fireNamed(f func()) {
 // handOff models the forbidden pattern the analyzer exists to catch:
 // handing a simulated event to another piece of simulated code over a
 // host channel instead of scheduling it on the engine (sim.Engine.At).
-// The send wakes its receiver outside the engine's serial token handoff.
+// The send wakes its receiver outside the engine's serial schedule.
 func handOff(peer chan int, payload int) {
 	peer <- payload // want `channel send`
 }
@@ -27,6 +27,6 @@ func allowed(done chan struct{}) {
 }
 
 func allowedSend(ctl chan int) {
-	//simlint:allow baregoroutine fixture: sanctioned scheduler token handoff
+	//simlint:allow baregoroutine fixture demonstrating the directive on a send
 	ctl <- 1
 }
